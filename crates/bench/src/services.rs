@@ -1,8 +1,9 @@
 //! E8–E10: service experiments — clock sync precision, broadcast latency,
 //! replication style comparison.
 
-use hades_services::{BroadcastSim, ClockSyncConfig, ClockSyncRun, ReplicaStyle, ReplicationSim};
-use hades_sim::{FaultPlan, LinkConfig, Network, NodeId, SimRng};
+use hades_cluster::{ClusterSpec, GroupLoad, ScenarioPlan, ServiceSpec};
+use hades_services::{BroadcastSim, ClockSyncConfig, ClockSyncRun, ReplicaStyle};
+use hades_sim::{LinkConfig, Network, NodeId, SimRng};
 use hades_time::{Duration, Time};
 use std::fmt::Write;
 
@@ -105,16 +106,11 @@ pub fn broadcast_latency() -> String {
     out
 }
 
-/// E10: failover latency and overhead across replication styles.
-pub fn replication_comparison() -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "E10 / [Pol96] — replication style comparison");
-    let _ = writeln!(out, "============================================");
-    let _ = writeln!(
-        out,
-        "{:<12} {:>8} {:>9} {:>12} {:>8} {:>10}",
-        "style", "served", "delayed", "failover", "work", "messages"
-    );
+/// The E10 deployment: three nodes hosting one replicated service per
+/// style on the same members `[0, 1, 2]`, with node `crashed` failing
+/// while a request is in flight. Node 0 is the leader, primary and
+/// gateway of every group.
+fn replication_spec(crashed: u32) -> ClusterSpec {
     let styles = [
         ReplicaStyle::Active,
         ReplicaStyle::SemiActive,
@@ -122,28 +118,107 @@ pub fn replication_comparison() -> String {
             checkpoint_every: 4,
         },
     ];
+    // 50 µs after the 10 ms submission, so that request is in flight.
+    let crash = Time::ZERO + ms(10) + us(50);
+    let mut spec = ClusterSpec::new(3)
+        .link(LinkConfig::reliable(us(5), us(20)))
+        .seed(1)
+        // 30 requests: one per millisecond from 1 ms.
+        .horizon(ms(31))
+        .scenario(ScenarioPlan::new().crash(NodeId(crashed), crash));
     for style in styles {
-        let plan = FaultPlan::new().crash_at(NodeId(0), Time::ZERO + ms(10));
-        let net =
-            Network::homogeneous(3, LinkConfig::reliable(us(5), us(20)), SimRng::seed_from(1))
-                .with_fault_plan(plan);
-        let outc = ReplicationSim::new(style, 30, ms(1)).execute(net);
+        spec = spec.service(ServiceSpec::replicated(
+            style.name(),
+            style,
+            vec![0, 1, 2],
+            GroupLoad::default(),
+        ));
+    }
+    spec
+}
+
+/// E10: failover latency and overhead across replication styles.
+pub fn replication_comparison() -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "E10 / [Pol96] — replication style comparison");
+    let _ = writeln!(out, "============================================");
+    let run = replication_spec(0).run().expect("valid spec");
+    let report = run.report();
+    let crash = report.node_reports[0].crashed_at.expect("node 0 crashes");
+    let _ = writeln!(
+        out,
+        "{:<12} {:>9} {:>8} {:>8} {:>10} {:>10} {:>9} {:>9}",
+        "style", "submitted", "outputs", "delayed", "worst_lat", "failover", "messages", "replayed"
+    );
+    for g in &report.groups {
         let _ = writeln!(
             out,
-            "{:<12} {:>8} {:>9} {:>12} {:>8} {:>10}",
-            outc.style_name,
-            outc.served,
-            outc.delayed_by_failover,
-            outc.failover_latency.to_string(),
-            outc.execution_work,
-            outc.messages
+            "{:<12} {:>9} {:>8} {:>8} {:>10} {:>10} {:>9} {:>9}",
+            g.style_name,
+            g.submitted,
+            g.outputs,
+            g.delayed_outputs,
+            g.worst_latency
+                .map_or_else(|| "-".into(), |d| d.to_string()),
+            g.handoffs
+                .first()
+                .map_or_else(|| "-".into(), |h| (h.at - crash).to_string()),
+            g.messages,
+            g.replayed,
         );
     }
     let _ = writeln!(
         out,
-        "\nexpected shape: active masks the crash (zero failover) at ~n× work;\n\
-         semi-active pays one detection latency; passive pays detection +\n\
-         replay with the lowest healthy-path overhead."
+        "\nexpected shape: active masks the crash (no delayed output) at the\n\
+         highest message cost; semi-active delays the in-flight request by\n\
+         one detection + agreement window; passive pays the same window plus\n\
+         a replay of the requests since its last checkpoint, with the lowest\n\
+         healthy-path traffic."
     );
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn replication_comparison_shape() {
+        let report = replication_spec(0).run().expect("valid spec").into_report();
+        let [active, semi, passive] = &report.groups[..] else {
+            panic!("one group per style");
+        };
+        let names: Vec<_> = report.groups.iter().map(|g| g.style_name).collect();
+        assert_eq!(names, ["active", "semi-active", "passive"]);
+        for g in &report.groups {
+            assert!(g.order_agreement, "{} order agreement", g.style_name);
+            assert_eq!(
+                g.outputs, g.submitted,
+                "{} served every request",
+                g.style_name
+            );
+        }
+        assert_eq!(active.delayed_outputs, 0, "active masks the crash");
+        assert!(
+            semi.delayed_outputs > 0,
+            "semi-active waits for the takeover"
+        );
+        assert!(passive.replayed > 0, "passive replays past its checkpoint");
+        assert_eq!(semi.replayed, 0);
+        assert!(passive.worst_latency >= semi.worst_latency);
+        // Redundant execution costs traffic: votes, then orders, then
+        // checkpoints only.
+        assert!(passive.messages < semi.messages && semi.messages < active.messages);
+    }
+
+    #[test]
+    fn follower_crash_costs_no_failover() {
+        let report = replication_spec(2).run().expect("valid spec").into_report();
+        for g in &report.groups {
+            assert!(g.handoffs.is_empty(), "{} kept its leader", g.style_name);
+            assert_eq!(g.delayed_outputs, 0, "{}", g.style_name);
+            assert_eq!(g.replayed, 0, "{}", g.style_name);
+            assert_eq!(g.outputs, g.submitted, "{}", g.style_name);
+        }
+    }
 }

@@ -560,8 +560,7 @@ mod tests {
         // The [10 ms, 11 ms] cut swallows the heartbeats emitted at 10 ms
         // in both directions, leaving a 4 ms silence between the 8 ms and
         // 12 ms beats. A loss-tolerant timeout (γ floor raised so that
-        // T₀ > 4 ms) rides the partition out without suspicion, as in the
-        // detector's loss-tolerant configuration.
+        // T₀ > 4 ms) rides the partition out without suspicion.
         let tolerant = MiddlewareConfig {
             clock_precision_floor: Duration::from_micros(2_500),
             ..MiddlewareConfig::default()
@@ -598,9 +597,12 @@ mod tests {
         assert!(report.views_agree);
         assert_eq!(report.view_history.last().unwrap().1, vec![0, 1, 2]);
         assert!(report.no_false_suspicions());
+        // Never heard from: suspected at exactly `T₀ = H + δmax + γ`.
+        let timeout = report.detection_bound - MiddlewareConfig::default().heartbeat_period;
         for d in &report.detections {
             assert_eq!(d.suspect, 3);
             assert_eq!(d.crashed_at, Some(Time::ZERO));
+            assert_eq!(d.latency, Some(timeout));
         }
         // And the same scenario expressed as the canned driver matches.
         let via_driver = quad()

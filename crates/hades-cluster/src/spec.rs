@@ -63,12 +63,12 @@ use hades_dispatch::{CostModel, DispatchSim, SimConfig};
 use hades_sched::analysis::rta::{rta_feasible, RtaTask};
 use hades_sched::{edf_feasible, EdfAnalysisConfig, EdfPolicy, ModeChange, Policy};
 use hades_services::actors::{
-    agent_is_heartbeat, agent_msg_name, AgentConfig, AgentLog, AgentTap, NodeAgent, AGENT_LABEL,
+    agent_is_heartbeat, agent_msg_name, AgentConfig, AgentLog, AgentTap, NodeAgent, View,
+    AGENT_LABEL,
 };
 use hades_services::group::{
     group_msg_name, GroupConfig, GroupLog, GroupTap, ReplicaGroup, RequestSource, GROUP_LABEL,
 };
-use hades_services::membership::View;
 use hades_services::ReplicaStyle;
 use hades_sim::mux::ActorId;
 use hades_sim::{KernelModel, LinkConfig, Network, NodeId, SimRng};
@@ -672,7 +672,7 @@ impl ClusterSpec {
     /// The Δ of the replicated services' atomic multicast: `δmax + γ`
     /// for this spec's link model and synchronized-clock precision.
     pub fn group_delta(&self) -> Duration {
-        self.link.delay_max + self.middleware.clock_precision(&self.link)
+        group_delta(&self.link, &self.middleware)
     }
 
     /// The detection bound `H + T₀ = 2H + δmax + γ` this deployment's
@@ -690,16 +690,7 @@ impl ClusterSpec {
 
     /// The agent configuration installed on `node`.
     fn agent_config(&self, node: NodeId) -> AgentConfig {
-        AgentConfig {
-            node,
-            nodes: self.nodes,
-            heartbeat_period: self.middleware.heartbeat_period,
-            clock_precision: self.middleware.clock_precision(&self.link),
-            f: self.middleware.f,
-            recovery: self.middleware.recovery,
-            vc_delta_multicast: self.middleware.delta_multicast_vc,
-            vc_attempts: self.middleware.vc_attempts,
-        }
+        agent_config(self.nodes, &self.link, &self.middleware, node)
     }
 
     /// Validates the whole spec, collecting every finding.
@@ -998,6 +989,33 @@ enum LoweredService {
     Group { name: String, group: usize },
 }
 
+/// The agent configuration installed on `node` of a `nodes`-node
+/// deployment — the one derivation of an [`AgentConfig`] from the link
+/// model and the middleware timing model, shared by the spec's analytic
+/// bounds and its lowering.
+fn agent_config(
+    nodes: u32,
+    link: &LinkConfig,
+    middleware: &MiddlewareConfig,
+    node: NodeId,
+) -> AgentConfig {
+    AgentConfig {
+        node,
+        nodes,
+        heartbeat_period: middleware.heartbeat_period,
+        clock_precision: middleware.clock_precision(link),
+        f: middleware.f,
+        recovery: middleware.recovery,
+        vc_delta_multicast: middleware.delta_multicast_vc,
+        vc_attempts: middleware.vc_attempts,
+    }
+}
+
+/// The Δ of the replicated services' atomic multicast: `δmax + γ`.
+fn group_delta(link: &LinkConfig, middleware: &MiddlewareConfig) -> Duration {
+    link.delay_max + middleware.clock_precision(link)
+}
+
 /// The flat runtime form a validated spec lowers into.
 ///
 /// `scenario` is the spec's own plan (replayed at run time by the
@@ -1026,20 +1044,11 @@ struct Lowered {
 
 impl Lowered {
     fn agent_config(&self, node: NodeId) -> AgentConfig {
-        AgentConfig {
-            node,
-            nodes: self.nodes,
-            heartbeat_period: self.middleware.heartbeat_period,
-            clock_precision: self.middleware.clock_precision(&self.link),
-            f: self.middleware.f,
-            recovery: self.middleware.recovery,
-            vc_delta_multicast: self.middleware.delta_multicast_vc,
-            vc_attempts: self.middleware.vc_attempts,
-        }
+        agent_config(self.nodes, &self.link, &self.middleware, node)
     }
 
     fn group_delta(&self) -> Duration {
-        self.link.delay_max + self.middleware.clock_precision(&self.link)
+        group_delta(&self.link, &self.middleware)
     }
 
     /// Builds and runs the deployment, producing the report + events.

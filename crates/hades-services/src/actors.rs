@@ -1,19 +1,17 @@
 //! Engine-driven service actors: the per-node middleware agent.
 //!
-//! The sibling modules ([`crate::detect`], [`crate::membership`],
-//! [`crate::replication`]) are *self-contained* protocol simulations: each
-//! owns its whole timeline and is convenient for studying one service in
-//! isolation. A cluster runtime needs the same protocols as **actors** on
-//! a shared engine, interleaved with the dispatcher and with each other —
+//! A cluster runtime needs the robustness protocols as **actors** on a
+//! shared engine, interleaved with the dispatcher and with each other —
 //! the composition the paper deploys on every node.
 //!
 //! [`NodeAgent`] is that composition for one node. It runs four layers in
 //! one state machine:
 //!
 //! * **crash detection** — emits heartbeats every `H` to all peers and
-//!   suspects a peer whose silence exceeds `T₀ = H + δmax + γ` (the
-//!   perfect-detector timeout of [`crate::detect`]); detection happens
-//!   within [`crate::DetectorConfig::detection_bound`] of the crash;
+//!   suspects a peer whose silence exceeds `T₀ = H + δmax + γ` (a
+//!   perfect detector on the synchronous substrate: a silent peer is
+//!   crashed, never merely slow); detection happens within
+//!   [`AgentConfig::detection_bound`] of the crash;
 //! * **membership** — on suspicion it floods a view-change proposal
 //!   (`f + 1` rounds, FloodSet-style, as in [`crate::consensus`]) and
 //!   installs the agreed view at a bounded time after the first round;
@@ -22,7 +20,7 @@
 //! * **passive replication management** — the lowest-numbered member of
 //!   the current view is the primary; a view change that removes the
 //!   primary promotes the next member, which is the takeover moment of
-//!   passive/semi-active replication ([`crate::replication`]);
+//!   passive/semi-active replication ([`crate::group`]);
 //! * **crash recovery** — on [`ActorEvent::Restart`] the agent comes back
 //!   *cold* and runs the rejoin protocol of [`crate::recovery`]: it
 //!   announces itself, the lowest-numbered surviving member serves its
@@ -53,7 +51,6 @@
 //! of and serves the others back in.
 
 use crate::memberset::{MemberSet, MAX_NODES};
-use crate::membership::View;
 use crate::recovery::{RecoveryConfig, RejoinRecord};
 use hades_sim::mux::{ActorCtx, ActorEvent, ActorId, NetActor};
 use hades_sim::NodeId;
@@ -370,6 +367,35 @@ pub type AgentTapFn = dyn Fn(Time, u32, &AgentEvent);
 impl std::fmt::Debug for AgentTap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("AgentTap")
+    }
+}
+
+/// One installed view: the agreed membership after some failures or
+/// rejoins.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct View {
+    /// Monotone view number (view 0 is the initial full membership).
+    pub number: u32,
+    /// Members of the view, ascending.
+    pub members: Vec<u32>,
+    /// When the view was installed (agreement reached).
+    pub installed_at: Time,
+}
+
+impl View {
+    /// Membership as a [`MemberSet`] — the encoding circulated by the
+    /// agent wire protocols.
+    pub fn member_set(&self) -> MemberSet {
+        MemberSet::from_members(&self.members)
+    }
+
+    /// Builds a view from an agreed membership set.
+    pub fn from_set(number: u32, set: &MemberSet, installed_at: Time) -> View {
+        View {
+            number,
+            members: set.to_vec(),
+            installed_at,
+        }
     }
 }
 
@@ -1703,6 +1729,12 @@ mod tests {
             vec![(0, vec![0, 1, 2, 3]), (1, vec![0, 1, 2]), (2, vec![0, 2]),]
         );
         assert_eq!(logs[2].borrow().view_members(), reference);
+        // Both crashes were detected, in crash order, and the views
+        // installed in the same order.
+        let suspects: Vec<u32> = logs[0].borrow().suspicions.iter().map(|s| s.0).collect();
+        assert_eq!(suspects, vec![3, 1]);
+        let views = &logs[0].borrow().views;
+        assert!(views[1].installed_at < views[2].installed_at);
     }
 
     #[test]
@@ -1730,6 +1762,14 @@ mod tests {
         assert_eq!(reference[1].1, expected);
         for n in (0..96usize).filter(|n| *n != 70) {
             assert_eq!(logs[n].borrow().view_members(), reference, "node {n}");
+        }
+        // The installed views round-trip through their three-word
+        // membership set.
+        for v in &logs[0].borrow().views {
+            assert_eq!(
+                View::from_set(v.number, &v.member_set(), v.installed_at),
+                *v
+            );
         }
     }
 

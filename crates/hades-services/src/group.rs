@@ -1,9 +1,9 @@
 //! Replication groups over Δ-atomic multicast: in-cluster active,
 //! semi-active and passive replication as engine-driven actors.
 //!
-//! [`crate::replication::ReplicationSim`] compares the three replication
-//! styles of \[Pol96\] in closed form, on a private timeline. This module
-//! runs the same styles **on the shared DES network**: a
+//! The three replication styles of \[Pol96\] ([`ReplicaStyle`]) trade
+//! redundant execution against failover latency. This module runs them
+//! **on the shared DES network**: a
 //! [`ReplicaGroup`] is one member of a replicated service, client
 //! requests enter through an actor-ised Δ-protocol atomic multicast
 //! (the [`crate::comm::DeltaInbox`] delivery discipline of
@@ -49,13 +49,38 @@
 
 use crate::actors::AgentLog;
 use crate::comm::DeltaInbox;
-use crate::replication::ReplicaStyle;
 use hades_sim::mux::{ActorCtx, ActorEvent, ActorId, NetActor};
 use hades_sim::NodeId;
 use hades_time::{Duration, Time};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
+
+/// The replication style of a group (\[Pol96\]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReplicaStyle {
+    /// All replicas execute; output by majority vote.
+    Active,
+    /// All replicas execute; only the leader outputs.
+    SemiActive,
+    /// Primary executes; state checkpointed every `checkpoint_every`
+    /// requests.
+    Passive {
+        /// Requests between checkpoints.
+        checkpoint_every: u32,
+    },
+}
+
+impl ReplicaStyle {
+    /// Short label for reports.
+    pub fn name(&self) -> &'static str {
+        match self {
+            ReplicaStyle::Active => "active",
+            ReplicaStyle::SemiActive => "semi-active",
+            ReplicaStyle::Passive { .. } => "passive",
+        }
+    }
+}
 
 /// Message kind: one client request, Δ-multicast by the gateway.
 const GMSG_REQ: u64 = 1;
@@ -1414,7 +1439,7 @@ impl NetActor for ReplicaGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::membership::View;
+    use crate::actors::View;
     use hades_sim::{ActorEngine, FaultPlan, LinkConfig, Network, SimRng};
 
     fn us(n: u64) -> Duration {

@@ -6,8 +6,8 @@
 //!
 //! 1. **Clock synchronization** (Lundelius–Lynch) keeps the four protection
 //!    channels within a known precision, despite one Byzantine clock;
-//! 2. a **heartbeat detector** watches the channels and must catch a crash
-//!    within its analytic bound;
+//! 2. the **node agents** of a 4-channel cluster run heartbeat crash
+//!    detection and must all catch a crash within its analytic bound;
 //! 3. the trip decision is reached by **flooding consensus** among the
 //!    surviving channels;
 //! 4. the decision is disseminated by **reliable broadcast**;
@@ -21,7 +21,7 @@
 use hades::prelude::*;
 use hades_services::{
     BroadcastSim, ClockSyncConfig, ClockSyncRun, ConsensusConfig, DependencyTracker,
-    DetectorConfig, FloodConsensus, HeartbeatDetector, StableStore,
+    FloodConsensus, StableStore,
 };
 
 fn main() {
@@ -53,20 +53,30 @@ fn main() {
         "correct clocks converge despite Byzantine"
     );
 
-    // 2. Crash detection of channel 3.
-    let det_cfg = DetectorConfig {
-        heartbeat_period: ms(1),
-        clock_precision: sync.analytic_bound,
-        horizon: ms(30),
-    };
-    let net = Network::homogeneous(4, link, SimRng::seed_from(11)).with_fault_plan(plan.clone());
-    let det = HeartbeatDetector::new(det_cfg).observe(net);
-    let latency = det.detection_latency[&3];
-    println!(
-        "[detector]    channel 3 suspected after {latency} (bound {})",
-        det.bound
+    // 2. Crash detection of channel 3 by the node agents of a 4-channel
+    //    cluster: every surviving channel must suspect it within the
+    //    analytic bound, and none may suspect a correct channel.
+    let spec = ClusterSpec::new(4)
+        .link(link)
+        .seed(11)
+        .horizon(ms(30))
+        .scenario(ScenarioPlan::new().crash(NodeId(3), crash_time));
+    let bound = spec.detection_bound();
+    let report = spec.run().expect("valid spec").into_report();
+    assert!(
+        report.no_false_suspicions() && report.detection_within_bound(),
+        "no false alarms, detection within bound"
     );
-    assert!(det.is_perfect(), "no false alarms, detection within bound");
+    let detection = report
+        .detections
+        .iter()
+        .filter(|d| d.suspect == 3)
+        .max_by_key(|d| d.suspected_at)
+        .expect("channel 3 detected");
+    println!(
+        "[detector]    channel 3 suspected by every survivor after {} (bound {bound})",
+        detection.latency.expect("channel 3 really crashed")
+    );
 
     // 3. Consensus on the trip decision among surviving channels
     //    (1 = trip, 0 = stay): any channel voting trip must win — encode
@@ -75,7 +85,7 @@ fn main() {
     let consensus = FloodConsensus::new(ConsensusConfig {
         f: 1,
         proposals: vec![1, 0, 1, 1], // channel 1 demands a trip
-        start: crash_time + det.bound,
+        start: detection.suspected_at,
     })
     .execute(net);
     assert!(consensus.agreement_holds());

@@ -8,7 +8,6 @@
 use proptest::prelude::*;
 
 use hades::prelude::*;
-use hades_services::DetectorConfig;
 
 fn us(n: u64) -> Duration {
     Duration::from_micros(n)
@@ -171,20 +170,18 @@ fn identical_reports_for_identical_seeds() {
 
 #[test]
 fn cluster_bound_matches_detector_config() {
+    // The perfect-detector bound `H + T₀ = 2H + δmax + γ`, spelled out
+    // from the middleware timing model and the link.
     let spec = failover_spec(1);
     let link = LinkConfig::reliable(us(10), us(50));
-    let gamma = MiddlewareConfig::default().clock_precision(&link);
-    let net = Network::homogeneous(4, link, SimRng::seed_from(0));
-    let detector = DetectorConfig {
-        heartbeat_period: MiddlewareConfig::default().heartbeat_period,
-        clock_precision: gamma,
-        horizon: ms(100),
-    };
+    let mw = MiddlewareConfig::default();
+    let expected = mw.heartbeat_period * 2 + link.delay_max + mw.clock_precision(&link);
     assert_eq!(
         spec.detection_bound(),
-        detector.detection_bound(&net),
+        expected,
         "the cluster runtime honours the detector's analytic bound"
     );
+    assert_eq!(spec.run().unwrap().report().detection_bound, expected);
 }
 
 #[test]
@@ -422,7 +419,7 @@ fn spec_validation_collects_every_issue_with_service_diagnostics() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Detection latency never exceeds the `DetectorConfig` bound, for any
+    /// Detection latency never exceeds the analytic detection bound, for any
     /// victim, crash time, seed and cluster size.
     #[test]
     fn detection_latency_never_exceeds_bound(

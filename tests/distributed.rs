@@ -2,10 +2,7 @@
 //! network, service composition, and end-to-end determinism.
 
 use hades::prelude::*;
-use hades_services::{
-    BroadcastSim, ConsensusConfig, DetectorConfig, FloodConsensus, HeartbeatDetector, P2pConfig,
-    ReliableP2p,
-};
+use hades_services::{BroadcastSim, ConsensusConfig, FloodConsensus, P2pConfig, ReliableP2p};
 
 fn us(n: u64) -> Duration {
     Duration::from_micros(n)
@@ -116,15 +113,26 @@ fn detector_feeds_consensus_based_reconfiguration() {
     // Crash node 2 at 4 ms; the detector must flag it before the group
     // reconfigures by consensus on the surviving membership.
     let link = LinkConfig::reliable(us(10), us(40));
-    let plan = FaultPlan::new().crash_at(NodeId(2), Time::ZERO + ms(4));
-    let det = HeartbeatDetector::new(DetectorConfig {
-        heartbeat_period: ms(1),
-        clock_precision: us(20),
-        horizon: ms(15),
-    })
-    .observe(Network::homogeneous(4, link, SimRng::seed_from(8)).with_fault_plan(plan.clone()));
-    assert!(det.is_perfect());
-    let suspected_at = det.suspected_at[&2];
+    let crash = Time::ZERO + ms(4);
+    let plan = FaultPlan::new().crash_at(NodeId(2), crash);
+    let run = ClusterSpec::new(4)
+        .link(link)
+        .seed(8)
+        .horizon(ms(15))
+        .scenario(ScenarioPlan::new().crash(NodeId(2), crash))
+        .run()
+        .unwrap();
+    let report = run.report();
+    assert!(report.no_false_suspicions() && report.detection_within_bound());
+    let suspected_at = run
+        .events()
+        .iter()
+        .find_map(|e| match e {
+            ClusterEvent::Detected { suspect: 2, at, .. } => Some(*at),
+            _ => None,
+        })
+        .expect("the crash is detected");
+    assert!(suspected_at > crash);
 
     // Proposals encode each node's view (bitmask of live members);
     // consensus starts after suspicion.

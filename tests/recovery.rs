@@ -4,8 +4,7 @@
 
 use hades::prelude::*;
 use hades_services::checkpoint::{CheckpointService, Replayable};
-use hades_services::membership::MembershipSim;
-use hades_services::{DependencyTracker, DetectorConfig};
+use hades_services::DependencyTracker;
 
 fn us(n: u64) -> Duration {
     Duration::from_micros(n)
@@ -40,18 +39,31 @@ fn membership_checkpoint_and_orphan_chain() {
     let reference = primary.state().0;
 
     // 2. Node 0 crashes at 12 ms; membership agrees on its exclusion.
-    let link = LinkConfig::reliable(us(10), us(40));
-    let plan = FaultPlan::new().crash_at(NodeId(0), Time::ZERO + ms(12));
-    let net = Network::homogeneous(4, link, SimRng::seed_from(5)).with_fault_plan(plan);
-    let membership = MembershipSim::new(DetectorConfig {
-        heartbeat_period: ms(1),
-        clock_precision: us(20),
-        horizon: ms(30),
-    })
-    .execute(net);
-    assert_eq!(membership.views.len(), 2);
-    assert_eq!(membership.final_members(), &[1, 2, 3]);
-    let takeover_at = membership.views[1].installed_at;
+    let run = ClusterSpec::new(4)
+        .link(LinkConfig::reliable(us(10), us(40)))
+        .middleware(MiddlewareConfig {
+            heartbeat_period: ms(1),
+            ..MiddlewareConfig::default()
+        })
+        .seed(5)
+        .horizon(ms(30))
+        .scenario(ScenarioPlan::new().crash(NodeId(0), Time::ZERO + ms(12)))
+        .run()
+        .unwrap();
+    let report = run.report();
+    assert!(report.views_agree);
+    assert_eq!(
+        report.view_history,
+        vec![(0, vec![0, 1, 2, 3]), (1, vec![1, 2, 3])]
+    );
+    let takeover_at = run
+        .events()
+        .iter()
+        .find_map(|e| match e {
+            ClusterEvent::ViewInstalled { number: 1, at, .. } => Some(*at),
+            _ => None,
+        })
+        .expect("the exclusion view installed");
     assert!(takeover_at > Time::ZERO + ms(12));
     assert!(takeover_at < Time::ZERO + ms(16), "bounded reconfiguration");
 
